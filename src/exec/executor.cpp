@@ -19,16 +19,41 @@ namespace {
 
 std::atomic<ExecPreflightFn> g_preflight{nullptr};
 
-/// Deterministic per-node weight tensor. Values are scaled down so deep
-/// networks do not overflow float32 during an un-normalized forward pass.
-Tensor make_weight(const Shape& shape, std::uint64_t seed, float scale) {
-  Tensor t(shape, Tensor::kUninitialized);
-  t.fill_random(seed);
-  for (float& v : t.data()) v *= scale;
-  return t;
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64 finalizer.
+inline std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
 }  // namespace
+
+std::uint64_t node_weight_seed(std::uint64_t weight_seed, NodeId id) {
+  return weight_seed ^ (kGolden * (static_cast<std::uint64_t>(id) + 1));
+}
+
+Tensor make_weight(ThreadPool& pool, const Shape& shape, std::uint64_t seed,
+                   float scale) {
+  Tensor t(shape, Tensor::kUninitialized);
+  float* const out = t.data().data();
+  const std::uint64_t key = mix64(seed);
+  // u = k·2^-23 with k = top24 − 2^23. step = scale·2^-23 is exact, so
+  // k·step rounds once, to the same float as scale·u.
+  const float step = scale * 0x1p-23f;
+  pool.parallel_for(
+      t.data().size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::uint64_t bits = mix64(key + kGolden * (i + 1));
+          const auto k = static_cast<std::int32_t>(bits >> 40) - (1 << 23);
+          out[i] = static_cast<float>(k) * step;
+        }
+      },
+      kWeightGrain);
+  return t;
+}
 
 void set_exec_preflight(ExecPreflightFn fn) {
   g_preflight.store(fn, std::memory_order_relaxed);
@@ -96,8 +121,7 @@ ExecutionResult Executor::run(const Graph& graph, const Tensor& input,
     const auto in = [&](std::size_t i) -> const Tensor& {
       return outputs[static_cast<std::size_t>(n.inputs.at(i))];
     };
-    const std::uint64_t seed =
-        weight_seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(n.id) + 1));
+    const std::uint64_t seed = node_weight_seed(weight_seed, n.id);
     std::optional<obs::TraceSpan> layer_span;
     if (obs::enabled()) {
       layer_span.emplace(op_kind_name(n.kind) + "/" + n.name, "layer");
@@ -118,12 +142,14 @@ ExecutionResult Executor::run(const Graph& graph, const Tensor& input,
                                 a.kernel_w);
         const float scale = static_cast<float>(1.0 / std::sqrt(fan_in));
         const Tensor weight = make_weight(
+            pool_,
             Shape({a.out_channels, a.in_channels / a.groups, a.kernel_h,
                    a.kernel_w}),
             seed, scale);
         const Tensor bias =
-            a.bias ? make_weight(Shape{a.out_channels}, seed + 1, scale)
-                   : Tensor();
+            a.bias
+                ? make_weight(pool_, Shape{a.out_channels}, seed + 1, scale)
+                : Tensor();
         out = conv2d_forward(pool_, in(0), weight, bias, a,
                              fused[static_cast<std::size_t>(n.id)]);
         break;
@@ -163,11 +189,12 @@ ExecutionResult Executor::run(const Graph& graph, const Tensor& input,
         const auto& a = n.as<LinearAttrs>();
         const float scale =
             static_cast<float>(1.0 / std::sqrt(static_cast<double>(a.in_features)));
-        const Tensor weight =
-            make_weight(Shape({a.out_features, a.in_features}), seed, scale);
+        const Tensor weight = make_weight(
+            pool_, Shape({a.out_features, a.in_features}), seed, scale);
         const Tensor bias =
-            a.bias ? make_weight(Shape{a.out_features}, seed + 1, scale)
-                   : Tensor();
+            a.bias
+                ? make_weight(pool_, Shape{a.out_features}, seed + 1, scale)
+                : Tensor();
         out = linear(pool_, in(0), weight, bias, a,
                      fused[static_cast<std::size_t>(n.id)]);
         break;
@@ -206,7 +233,7 @@ ExecutionResult Executor::run(const Graph& graph, const Tensor& input,
           const std::int64_t c = in(0).shape().channels();
           const float scale = static_cast<float>(
               1.0 / std::sqrt(static_cast<double>(c)));
-          cls = make_weight(Shape{c}, seed, scale);
+          cls = make_weight(pool_, Shape{c}, seed, scale);
         }
         out = to_tokens(pool_, in(0), cls, a);
         break;
@@ -223,13 +250,13 @@ ExecutionResult Executor::run(const Graph& graph, const Tensor& input,
         const float scale = static_cast<float>(
             1.0 / std::sqrt(static_cast<double>(a.embed_dim)));
         const Tensor in_proj_w = make_weight(
-            Shape({3 * a.embed_dim, a.embed_dim}), seed, scale);
+            pool_, Shape({3 * a.embed_dim, a.embed_dim}), seed, scale);
         const Tensor in_proj_b =
-            make_weight(Shape{3 * a.embed_dim}, seed + 1, scale);
-        const Tensor out_proj_w =
-            make_weight(Shape({a.embed_dim, a.embed_dim}), seed + 2, scale);
+            make_weight(pool_, Shape{3 * a.embed_dim}, seed + 1, scale);
+        const Tensor out_proj_w = make_weight(
+            pool_, Shape({a.embed_dim, a.embed_dim}), seed + 2, scale);
         const Tensor out_proj_b =
-            make_weight(Shape{a.embed_dim}, seed + 3, scale);
+            make_weight(pool_, Shape{a.embed_dim}, seed + 3, scale);
         out = self_attention(pool_, in(0), in_proj_w, in_proj_b, out_proj_w,
                              out_proj_b, a);
         break;

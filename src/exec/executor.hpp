@@ -2,9 +2,14 @@
 //
 // Weights are generated deterministically per node (the library models
 // performance, not accuracy — values only need to be realistic, not
-// trained). The executor doubles as a wall-clock measurement source: it
-// records per-layer and total times, giving the project a genuinely
-// *runnable* benchmarking pipeline next to the device simulator.
+// trained). Each weight tensor is a per-node transient: it is generated
+// inside the node's timed layer, on the executor's own pool, and freed when
+// the node finishes. Generation is counter-based (element i is a pure
+// function of the tensor seed and i), so it parallelizes without changing a
+// single bit at any thread count. The executor doubles as a wall-clock
+// measurement source: it records per-layer and total times, giving the
+// project a genuinely *runnable* benchmarking pipeline next to the device
+// simulator.
 #pragma once
 
 #include <chrono>
@@ -25,6 +30,24 @@ namespace convmeter {
 /// conv's tensor. Exported so the analysis layer's fusion-legality audit
 /// can cross-check the exact plan the executor will apply.
 std::vector<std::optional<ActKind>> plan_fused_activations(const Graph& graph);
+
+/// Seed of node `id`'s weight tensors in a run seeded with `weight_seed`:
+/// weight_seed ^ φ·(id+1), φ = 0x9e3779b97f4a7c15. A node with several
+/// tensors uses seed, seed+1, ... (bias, projections) in a fixed order.
+std::uint64_t node_weight_seed(std::uint64_t weight_seed, NodeId id);
+
+/// Elements per make_weight chunk: bias-sized tensors run inline on the
+/// caller, conv/linear weight tensors split across the pool.
+inline constexpr std::size_t kWeightGrain = 16384;
+
+/// Deterministic weight tensor of `shape`: element i is
+/// scale · u(mix64(mix64(seed) + φ·(i+1))), with mix64 the splitmix64
+/// finalizer and u mapping the top 24 bits onto the exactly representable
+/// floats k·2^-23 in [-1, 1). Values therefore lie in [-scale, scale), and
+/// element i does not depend on the tensor's length or on how `pool`
+/// splits the range: outputs are bit-identical at any thread count.
+Tensor make_weight(ThreadPool& pool, const Shape& shape, std::uint64_t seed,
+                   float scale);
 
 /// Optional process-wide pre-flight hook, run at the top of every
 /// Executor::run before anything executes. The analysis layer installs its

@@ -1,6 +1,7 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -87,11 +88,22 @@ void ThreadPool::parallel_for(
   }
   wake_.notify_all();
 
-  body(0, my_end);  // caller's chunk
+  // The caller's chunk may throw, but the workers still hold `body`, and
+  // each of them decrements pending_ exactly once: returning before they
+  // are done would let them call a destroyed body and land a late
+  // decrement in the next call. So record the error and always join.
+  try {
+    body(0, my_end);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!first_error_) first_error_ = std::current_exception();
+  }
 
   std::unique_lock<std::mutex> lock(mutex_);
   done_.wait(lock, [&] { return pending_ == 0; });
-  if (first_error_) std::rethrow_exception(first_error_);
+  if (first_error_) {
+    std::rethrow_exception(std::exchange(first_error_, nullptr));
+  }
 }
 
 }  // namespace convmeter

@@ -30,8 +30,9 @@ class ThreadPool {
 
   /// Runs body(begin, end) over [0, count) split into near-equal chunks,
   /// one per thread (static schedule). The calling thread executes the
-  /// first chunk; the call returns when every chunk is done. Exceptions
-  /// thrown by `body` are rethrown on the caller.
+  /// first chunk; the call returns when every chunk is done, also when a
+  /// chunk throws. The first exception recorded from any chunk is then
+  /// rethrown on the caller.
   ///
   /// `grain` is the minimum chunk size: ranges that fit in one grain-sized
   /// chunk run inline on the calling thread without waking any worker, so

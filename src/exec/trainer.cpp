@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "exec/backward.hpp"
+#include "exec/executor.hpp"
 #include "exec/kernels.hpp"
 #include "tensor/alloc_tracker.hpp"
 #include "obs/metrics_registry.hpp"
@@ -233,19 +234,14 @@ std::vector<Tensor> Trainer::forward(const Tensor& input) {
         const auto& a = n.as<ToTokensAttrs>();
         Tensor cls;
         if (a.cls_token) {
-          // Non-learnable constant, regenerated deterministically from the
-          // weight seed (matching the executor); keeping it out of params_
+          // Non-learnable constant, regenerated by the executor's weight
+          // generator from the same node seed; keeping it out of params_
           // keeps parameter_count() and the trainable set consistent.
           const std::int64_t c = in(0).shape().channels();
-          const std::uint64_t seed =
-              config_.weight_seed ^
-              (0x9e3779b97f4a7c15ULL *
-               (static_cast<std::uint64_t>(n.id) + 1));
-          cls = Tensor(Shape{c}, Tensor::kUninitialized);
-          cls.fill_random(seed);
           const float scale =
               static_cast<float>(1.0 / std::sqrt(static_cast<double>(c)));
-          for (float& v : cls.data()) v *= scale;
+          cls = make_weight(pool_, Shape{c},
+                            node_weight_seed(config_.weight_seed, n.id), scale);
         }
         outputs[static_cast<std::size_t>(n.id)] =
             to_tokens(pool_, in(0), cls, a);

@@ -1,9 +1,11 @@
 // Executor tests: real forward passes over zoo models at small resolutions,
-// determinism, timing bookkeeping, and agreement between the executed
-// output shape and shape inference.
+// determinism, timing bookkeeping, agreement between the executed output
+// shape and shape inference, and the counter-based weight generator.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "exec/executor.hpp"
 #include "graph/shape_inference.hpp"
@@ -110,6 +112,146 @@ TEST(ExecutorTest, ConvTimeGrowsWithWork) {
     t_big += exec.run_random(big, Shape::nchw(1, 8, 64, 64)).total_seconds;
   }
   EXPECT_GT(t_big, t_small);
+}
+
+// --- Weight generator -----------------------------------------------------
+
+/// Bit pattern of a float, so comparisons distinguish -0 from +0 and NaNs.
+std::uint32_t bits_of(float v) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+void expect_bit_equal(const Tensor& a, const Tensor& b, std::size_t n) {
+  ASSERT_GE(a.data().size(), n);
+  ASSERT_GE(b.data().size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(bits_of(a.data()[i]), bits_of(b.data()[i])) << "element " << i;
+  }
+}
+
+/// Independent statement of the documented formula: element i is
+/// scale * u(mix64(mix64(seed) + phi * (i + 1))), u = (top24 - 2^23) / 2^23.
+float reference_weight(std::uint64_t seed, std::uint64_t i, float scale) {
+  const auto mix = [](std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  const std::uint64_t phi = 0x9e3779b97f4a7c15ULL;
+  const std::uint64_t bits = mix(mix(seed) + phi * (i + 1));
+  const double u =
+      static_cast<double>(static_cast<std::int64_t>(bits >> 40) - (1 << 23)) /
+      8388608.0;
+  return scale * static_cast<float>(u);
+}
+
+TEST(WeightGeneratorTest, MatchesDocumentedFormula) {
+  ThreadPool pool(3);
+  const float scale = 0.125f / 3.0f;
+  const Tensor w =
+      make_weight(pool, Shape{3 * kWeightGrain + 5}, 0xdeadbeef, scale);
+  for (std::size_t i = 0; i < w.data().size(); i += 997) {
+    ASSERT_EQ(bits_of(w.data()[i]),
+              bits_of(reference_weight(0xdeadbeef, i, scale)))
+        << "element " << i;
+  }
+}
+
+TEST(WeightGeneratorTest, BitEqualAtAnyThreadCount) {
+  // Sizes straddle the inline/parallel boundary; the largest is resnet18's
+  // biggest conv weight, 512x512x3x3 (2.36 M floats, 9.4 MB).
+  const std::vector<Shape> shapes = {
+      Shape{1}, Shape{static_cast<std::int64_t>(kWeightGrain - 1)},
+      Shape{static_cast<std::int64_t>(kWeightGrain + 1)},
+      Shape({512, 512, 3, 3})};
+  ThreadPool serial(1);
+  for (const Shape& shape : shapes) {
+    const Tensor ref = make_weight(serial, shape, 42, 0.02f);
+    for (const std::size_t threads : {2u, 3u, 4u}) {
+      ThreadPool pool(threads);
+      SCOPED_TRACE(shape.to_string() + " threads=" + std::to_string(threads));
+      const Tensor w = make_weight(pool, shape, 42, 0.02f);
+      ASSERT_EQ(w.shape(), shape);
+      expect_bit_equal(ref, w, ref.data().size());
+    }
+  }
+}
+
+TEST(WeightGeneratorTest, ElementDoesNotDependOnLength) {
+  ThreadPool pool(4);
+  const Tensor longest =
+      make_weight(pool, Shape{static_cast<std::int64_t>(4 * kWeightGrain + 3)},
+                  9, 1.0f);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{100},
+                              kWeightGrain + 1, 2 * kWeightGrain + 7}) {
+    const Tensor prefix =
+        make_weight(pool, Shape{static_cast<std::int64_t>(n)}, 9, 1.0f);
+    expect_bit_equal(longest, prefix, n);
+  }
+}
+
+TEST(WeightGeneratorTest, ValuesStayInHalfOpenRange) {
+  ThreadPool pool(4);
+  for (const float scale : {1.0f, 0.5f, 1.0f / std::sqrt(4608.0f)}) {
+    const Tensor w = make_weight(pool, Shape{1 << 18}, 3, scale);
+    for (const float v : w.data()) {
+      ASSERT_GE(v, -scale);
+      ASSERT_LT(v, scale);
+    }
+  }
+}
+
+TEST(WeightGeneratorTest, MeanAndVarianceMatchUniform) {
+  ThreadPool pool(4);
+  const float scale = 0.25f;
+  const Tensor w = make_weight(pool, Shape{1 << 21}, 1234, scale);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const float v : w.data()) {
+    sum += v;
+    sum_sq += static_cast<double>(v) * v;
+  }
+  const double n = static_cast<double>(w.data().size());
+  const double mean = sum / n;
+  const double var = sum_sq / n - mean * mean;
+  const double s2 = static_cast<double>(scale) * scale;
+  // U(-s, s): mean 0, variance s^2/3. Standard errors at n = 2^21 are
+  // 4e-4·s and 2e-4·s^2; the tolerances sit at about ten of them.
+  EXPECT_NEAR(mean, 0.0, 4e-3 * scale);
+  EXPECT_NEAR(var, s2 / 3.0, 2e-3 * s2);
+}
+
+TEST(WeightGeneratorTest, DifferentSeedsDiffer) {
+  ThreadPool pool(2);
+  const Tensor a = make_weight(pool, Shape{4096}, 100, 1.0f);
+  const Tensor b = make_weight(pool, Shape{4096}, 101, 1.0f);
+  std::size_t equal = 0;
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    equal += a.data()[i] == b.data()[i] ? 1 : 0;
+  }
+  // Independent 24-bit draws collide with probability 2^-24 per element.
+  EXPECT_LE(equal, 2u);
+}
+
+TEST(WeightGeneratorTest, NodeSeedDerivation) {
+  EXPECT_EQ(node_weight_seed(0, 0), 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(node_weight_seed(0xc0ffee, 4),
+            0xc0ffeeULL ^ (0x9e3779b97f4a7c15ULL * 5));
+}
+
+TEST(ExecutorTest, VitForwardBitEqualAcrossThreadCounts) {
+  // vit_s_16's linear and attention weights (up to 384x1536) are many
+  // grains long, so this runs the parallel generation path end to end.
+  const Graph g = models::build("vit_s_16");
+  const Shape in = Shape::nchw(1, 3, 32, 32);
+  Executor serial(1);
+  Executor threaded(4);
+  const Tensor a = serial.run_random(g, in, 5).output;
+  const Tensor b = threaded.run_random(g, in, 5).output;
+  ASSERT_EQ(a.shape(), b.shape());
+  expect_bit_equal(a, b, a.data().size());
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -89,6 +92,38 @@ TEST(ThreadPoolTest, UsableAfterException) {
     total.fetch_add(e - b);
   });
   EXPECT_EQ(total.load(), 10u);
+}
+
+TEST(ThreadPoolTest, CallerThrowWaitsForSlowWorker) {
+  // The caller's own chunk throws while a worker is still inside its chunk.
+  // parallel_for must join the worker before rethrowing: otherwise the
+  // worker runs a destroyed body and its late completion corrupts the next
+  // call's bookkeeping.
+  ThreadPool pool(2);
+  std::latch worker_inside(1);
+  std::atomic<bool> worker_finished{false};
+  try {
+    pool.parallel_for(2, [&](std::size_t b, std::size_t) {
+      if (b == 0) {  // the caller's chunk
+        worker_inside.wait();
+        throw std::runtime_error("caller");
+      }
+      worker_inside.count_down();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      worker_finished.store(true);
+    });
+    ADD_FAILURE() << "the caller's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller");
+  }
+  EXPECT_TRUE(worker_finished.load());
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<std::size_t> total{0};
+    pool.parallel_for(10, [&](std::size_t b, std::size_t e) {
+      total.fetch_add(e - b);
+    });
+    EXPECT_EQ(total.load(), 10u);
+  }
 }
 
 TEST(ThreadPoolTest, DefaultUsesHardwareConcurrency) {

@@ -116,6 +116,18 @@ class Args {
     return it == values_.end() ? fallback : parse_int(it->second);
   }
 
+  /// get_int for a quantity with a lower limit (sizes >= 1, budgets >= 0):
+  /// a smaller value throws InvalidArgument naming the flag.
+  long long get_int_at_least(const std::string& key, long long fallback,
+                             long long min) const {
+    const long long value = get_int(key, fallback);
+    if (value < min) {
+      throw InvalidArgument("--" + key + " must be >= " + std::to_string(min) +
+                            ", got " + std::to_string(value));
+    }
+    return value;
+  }
+
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
@@ -397,9 +409,11 @@ QueryPoint make_query(const Args& args) {
   const Graph g = models::build(name);
   QueryPoint q;
   q.model = name;
-  q.image_size = args.get_int("image", models::default_image_size(name));
+  q.image_size =
+      args.get_int_at_least("image", models::default_image_size(name), 1);
   q.metrics_b1 = compute_metrics_b1(g, q.image_size);
-  q.per_device_batch = static_cast<double>(args.get_int("batch", 1));
+  q.per_device_batch =
+      static_cast<double>(args.get_int_at_least("batch", 1, 1));
   q.num_devices = static_cast<int>(args.get_int("devices", 1));
   q.num_nodes = static_cast<int>(args.get_int("nodes", 1));
   return q;
@@ -411,10 +425,12 @@ int cmd_predict(const Args& args) {
   const auto* cm = dynamic_cast<const ConvMeterPredictor*>(predictor.get());
   if (cm == nullptr) {
     // Any non-ConvMeter family predicts a single number for its target
-    // phase (t_infer for the inference baselines).
+    // phase (t_infer for the inference baselines). Predict before printing
+    // so a rejected query leaves no half-written line.
+    const double seconds = predictor->predict(q.as_sample());
     std::cout << "predicted " << phase_name(predictor->target()) << " ('"
-              << predictor->name() << "'): "
-              << format_seconds(predictor->predict(q.as_sample())) << '\n';
+              << predictor->name() << "'): " << format_seconds(seconds)
+              << '\n';
     return 0;
   }
   const ConvMeter& model = cm->model();
@@ -592,6 +608,13 @@ int cmd_profile(const Args& args) {
   return 0;
 }
 
+/// --budget-mb in bytes; a negative budget is rejected.
+std::uint64_t budget_mb_bytes(const Args& args) {
+  return static_cast<std::uint64_t>(
+             args.get_int_at_least("budget-mb", 1024, 0))
+         << 20;
+}
+
 int cmd_lint(const Args& args) {
   analysis::VerifyOptions base;
   base.training = args.get_int("training", 0) != 0;
@@ -604,8 +627,7 @@ int cmd_lint(const Args& args) {
     // Whole-model static peak check (memplan.over_budget): the budget is
     // --budget-mb when given, otherwise the active device's memory.
     if (args.has("budget-mb")) {
-      base.memory_budget_bytes =
-          static_cast<std::uint64_t>(args.get_int("budget-mb", 1024)) << 20;
+      base.memory_budget_bytes = budget_mb_bytes(args);
     } else if (base.device_memory_bytes != 0) {
       base.memory_budget_bytes = base.device_memory_bytes;
     } else {
@@ -615,8 +637,7 @@ int cmd_lint(const Args& args) {
   } else if (args.has("budget-mb")) {
     // Without --memory, --budget-mb keeps its original meaning: an
     // explicit per-thread workspace budget override.
-    base.workspace_budget_bytes =
-        static_cast<std::uint64_t>(args.get_int("budget-mb", 1024)) << 20;
+    base.workspace_budget_bytes = budget_mb_bytes(args);
   }
   const bool as_json = args.get_int("json", 0) != 0;
   const bool strict = args.get_int("strict", 0) != 0;
@@ -683,6 +704,20 @@ int cmd_memplan(const Args& args) {
       Shape::nchw(args.get_int("batch", 1), channels, image, image);
   const bool training = args.get_int("training", 0) != 0;
 
+  // With a budget in scope (explicit or device-derived), a plan that does
+  // not fit is a failure, mirroring `lint --memory`. Resolved before the
+  // plan prints, so a bad budget fails with nothing on stdout.
+  std::uint64_t budget = 0;
+  std::string budget_source;
+  if (args.has("budget-mb")) {
+    budget = budget_mb_bytes(args);
+    budget_source = "--budget-mb";
+  } else if (args.has("device")) {
+    budget = static_cast<std::uint64_t>(
+        device_by_name(args.require("device")).memory_bytes);
+    budget_source = "device '" + args.require("device") + "'";
+  }
+
   const analysis::MemPlan plan =
       analysis::plan_memory(g, input_shape, training);
   if (args.get_int("json", 0) != 0) {
@@ -691,19 +726,6 @@ int cmd_memplan(const Args& args) {
     std::cout << analysis::render_memplan_text(g, plan);
   }
 
-  // With a budget in scope (explicit or device-derived), a plan that does
-  // not fit is a failure, mirroring `lint --memory`.
-  std::uint64_t budget = 0;
-  std::string budget_source;
-  if (args.has("budget-mb")) {
-    budget = static_cast<std::uint64_t>(args.get_int("budget-mb", 1024))
-             << 20;
-    budget_source = "--budget-mb";
-  } else if (args.has("device")) {
-    budget = static_cast<std::uint64_t>(
-        device_by_name(args.require("device")).memory_bytes);
-    budget_source = "device '" + args.require("device") + "'";
-  }
   if (budget != 0 && plan.total_peak_bytes() > budget) {
     std::cerr << "over budget: static peak "
               << analysis::format_mib(plan.total_peak_bytes()) << " exceeds "
