@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -257,6 +258,10 @@ struct CorpusCase {
   // reporting their id.
   bool is_error = true;
 };
+
+// Printed in the test's listed name; the default byte dump would include
+// pointer values, which differ from one run to the next.
+void PrintTo(const CorpusCase& c, std::ostream* os) { *os << c.file; }
 
 class CorpusTest : public ::testing::TestWithParam<CorpusCase> {};
 

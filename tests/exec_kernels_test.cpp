@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "common/error.hpp"
@@ -201,6 +202,10 @@ struct ConvCase {
       dilation;
   bool bias;
 };
+
+// Printed in the test's listed name; the default byte dump would include
+// the string's buffer address, which differs from one run to the next.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.name; }
 
 class ConvAgreement : public ::testing::TestWithParam<ConvCase> {};
 

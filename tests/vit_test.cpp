@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "exec/executor.hpp"
@@ -98,6 +99,10 @@ struct VitGolden {
   double params_m;  ///< millions (pos-embed excluded, hence tolerance)
   double gflops;    ///< 2 x published GMACs @224
 };
+
+// Printed in the test's listed name; the default byte dump would include
+// the name's pointer value, which differs from one run to the next.
+void PrintTo(const VitGolden& v, std::ostream* os) { *os << v.name; }
 
 class VitGoldenTest : public ::testing::TestWithParam<VitGolden> {};
 
