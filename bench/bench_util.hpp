@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "collect/sample.hpp"
-#include "regress/loo.hpp"
+#include "predict/evaluate.hpp"
 
 namespace convmeter::bench {
 

@@ -6,55 +6,16 @@
 // primary compute layers (conv + linear + attention) restores the model:
 // the same four-coefficient linear form fits transformer inference.
 #include <iostream>
-#include <set>
 
-#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "metrics/metrics.hpp"
 #include "models/zoo.hpp"
-#include "regress/error_metrics.hpp"
-#include "regress/linear_model.hpp"
-#include "regress/loo.hpp"
+#include "predict/evaluate.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/inference_sim.hpp"
 
 using namespace convmeter;
-
-namespace {
-
-struct VitSample {
-  std::string model;
-  double batch;
-  GraphMetrics metrics_b1;
-  double t_infer;
-};
-
-Vector conv_features(const VitSample& s) {
-  return {s.batch * s.metrics_b1.flops, s.batch * s.metrics_b1.conv_inputs,
-          s.batch * s.metrics_b1.conv_outputs, 1.0};
-}
-
-Vector generalized_features(const VitSample& s) {
-  return {s.batch * s.metrics_b1.flops, s.batch * s.metrics_b1.compute_inputs,
-          s.batch * s.metrics_b1.compute_outputs, 1.0};
-}
-
-LooResult evaluate(const std::vector<VitSample>& samples,
-                   Vector (*features)(const VitSample&)) {
-  Matrix x(samples.size(), 4);
-  Vector y(samples.size());
-  std::vector<std::string> groups;
-  for (std::size_t r = 0; r < samples.size(); ++r) {
-    const Vector row = features(samples[r]);
-    for (std::size_t c = 0; c < 4; ++c) x(r, c) = row[c];
-    y[r] = samples[r].t_infer;
-    groups.push_back(samples[r].model);
-  }
-  return leave_one_group_out(x, y, groups);
-}
-
-}  // namespace
 
 int main() {
   std::cout << "Extension -- ViT inference prediction on the A100 "
@@ -65,7 +26,10 @@ int main() {
   InferenceSimulator sim(a100_80gb());
   Rng rng(0x717);
 
-  std::vector<VitSample> samples;
+  // The same measurements twice: once with the paper's conv-only I/O
+  // metrics, once with I/O generalized to every primary compute layer.
+  std::vector<RuntimeSample> conv_io;
+  std::vector<RuntimeSample> compute_io;
   for (const std::string& name : vits) {
     const Graph g = models::build(name);
     const GraphMetrics m = compute_metrics_b1(g, 224);
@@ -73,15 +37,26 @@ int main() {
       const Shape shape = Shape::nchw(batch, 3, 224, 224);
       if (!fits_in_memory(sim.device(), g, shape, false)) continue;
       for (int rep = 0; rep < 3; ++rep) {
-        samples.push_back({name, static_cast<double>(batch), m,
-                           sim.measure(g, shape, rng)});
+        RuntimeSample s;
+        s.model = name;
+        s.global_batch = batch;
+        s.num_devices = 1;
+        s.flops1 = m.flops;
+        s.t_infer = sim.measure(g, shape, rng);
+        s.inputs1 = m.conv_inputs;
+        s.outputs1 = m.conv_outputs;
+        conv_io.push_back(s);
+        s.inputs1 = m.compute_inputs;
+        s.outputs1 = m.compute_outputs;
+        compute_io.push_back(s);
       }
     }
   }
-  std::cout << "campaign: " << samples.size() << " ViT samples\n\n";
+  std::cout << "campaign: " << conv_io.size() << " ViT samples\n\n";
 
-  const LooResult conv_based = evaluate(samples, &conv_features);
-  const LooResult generalized = evaluate(samples, &generalized_features);
+  const LooResult conv_based = evaluate_loo("convmeter-fwd-only", conv_io);
+  const LooResult generalized =
+      evaluate_loo("convmeter-fwd-only", compute_io);
 
   ConsoleTable table({"Feature set", "R^2", "NRMSE", "MAPE"});
   table.add_row({"paper (F, conv I/O)",

@@ -79,13 +79,6 @@ Vector bwd_grad_features(const RuntimeSample& s) {
           s.layers,     s.weights,      static_cast<double>(s.num_devices)};
 }
 
-bool any_multi_device(const std::vector<RuntimeSample>& samples) {
-  for (const auto& s : samples) {
-    if (s.num_devices > 1) return true;
-  }
-  return false;
-}
-
 Vector phase_features(const RuntimeSample& s, Phase phase, FeatureSet fs,
                       bool multi_node) {
   switch (phase) {
@@ -100,30 +93,6 @@ Vector phase_features(const RuntimeSample& s, Phase phase, FeatureSet fs,
       return bwd_grad_features(s);
   }
   throw InvalidArgument("unknown Phase");
-}
-
-Design build_design(const std::vector<RuntimeSample>& samples, Phase phase,
-                    FeatureSet fs) {
-  CM_CHECK(!samples.empty(), "build_design: empty sample set");
-  const bool multi = any_multi_device(samples);
-
-  const auto features = [&](const RuntimeSample& s) -> Vector {
-    return phase_features(s, phase, fs, multi);
-  };
-
-  const Vector first = features(samples.front());
-  Design d;
-  d.x = Matrix(samples.size(), first.size());
-  d.y.resize(samples.size());
-  d.groups.reserve(samples.size());
-  for (std::size_t r = 0; r < samples.size(); ++r) {
-    const Vector row = features(samples[r]);
-    CM_CHECK(row.size() == first.size(), "inconsistent feature width");
-    for (std::size_t c = 0; c < row.size(); ++c) d.x(r, c) = row[c];
-    d.y[r] = target_value(samples[r], phase);
-    d.groups.push_back(samples[r].model);
-  }
-  return d;
 }
 
 }  // namespace convmeter

@@ -56,24 +56,10 @@ Vector grad_features(const RuntimeSample& s, bool multi_node);
 /// {b*F1, b*I1, b*O1, 1, L, W, N}.
 Vector bwd_grad_features(const RuntimeSample& s);
 
-/// True when any sample uses more than one device.
-bool any_multi_device(const std::vector<RuntimeSample>& samples);
-
 /// Feature row for one sample under `phase`/`fs`: forward features for the
 /// forward-shaped phases, gradient features (widened when `multi_node`) for
 /// kGradUpdate, and the 7-wide combined features for kBwdGrad/kTrainStep.
-/// Shared by build_design and the phase predictors so both agree exactly.
 Vector phase_features(const RuntimeSample& s, Phase phase, FeatureSet fs,
                       bool multi_node);
-
-/// Builds the design matrix for `phase`/`fs` over all samples, along with
-/// the target vector and group labels.
-struct Design {
-  Matrix x;
-  Vector y;
-  std::vector<std::string> groups;
-};
-Design build_design(const std::vector<RuntimeSample>& samples, Phase phase,
-                    FeatureSet fs);
 
 }  // namespace convmeter

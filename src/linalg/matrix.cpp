@@ -19,51 +19,6 @@ double Matrix::operator()(std::size_t r, std::size_t c) const {
   return data_[r * cols_ + c];
 }
 
-Matrix Matrix::gram() const {
-  Matrix g(cols_, cols_);
-  for (std::size_t i = 0; i < cols_; ++i) {
-    for (std::size_t j = i; j < cols_; ++j) {
-      double sum = 0.0;
-      for (std::size_t r = 0; r < rows_; ++r) {
-        sum += data_[r * cols_ + i] * data_[r * cols_ + j];
-      }
-      g(i, j) = sum;
-      g(j, i) = sum;
-    }
-  }
-  return g;
-}
-
-Vector Matrix::transpose_times(const Vector& y) const {
-  CM_CHECK(y.size() == rows_, "transpose_times: size mismatch");
-  Vector out(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out[c] += data_[r * cols_ + c] * y[r];
-    }
-  }
-  return out;
-}
-
-Vector Matrix::times(const Vector& x) const {
-  CM_CHECK(x.size() == cols_, "times: size mismatch");
-  Vector out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) {
-      sum += data_[r * cols_ + c] * x[c];
-    }
-    out[r] = sum;
-  }
-  return out;
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Vector solve_least_squares(const Matrix& a, const Vector& b) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
@@ -153,13 +108,6 @@ Vector solve_spd(Matrix s, Vector rhs) {
     rhs[i] = v / s(i, i);
   }
   return rhs;
-}
-
-Vector solve_ridge(const Matrix& a, const Vector& b, double lambda) {
-  CM_CHECK(lambda >= 0.0, "ridge lambda must be non-negative");
-  Matrix s = a.gram();
-  for (std::size_t i = 0; i < s.rows(); ++i) s(i, i) += lambda;
-  return solve_spd(std::move(s), a.transpose_times(b));
 }
 
 }  // namespace convmeter

@@ -1,9 +1,9 @@
-// Dense row-major matrix and least-squares solvers.
+// Dense row-major matrix and the two dense solvers.
 //
-// The regression needs of ConvMeter are modest (design matrices of a few
-// thousand rows and < 10 columns), so a straightforward Householder QR is
-// both adequate and easy to audit. A ridge-regularized normal-equation
-// solver backs it up for rank-deficient designs.
+// Fitting runs on normal-equation statistics (regress/incremental_ls), so
+// the production solver is the Cholesky solve_spd on a < 10-wide system.
+// The Householder-QR least-squares solve is the reference the streaming
+// fit is tested against. Matrix also backs the MLP baseline's weights.
 #pragma once
 
 #include <cstddef>
@@ -25,17 +25,6 @@ class Matrix {
   double& operator()(std::size_t r, std::size_t c);
   double operator()(std::size_t r, std::size_t c) const;
 
-  /// A^T * A (cols x cols), used by the ridge solver.
-  Matrix gram() const;
-
-  /// A^T * y.
-  Vector transpose_times(const Vector& y) const;
-
-  /// A * x.
-  Vector times(const Vector& x) const;
-
-  static Matrix identity(std::size_t n);
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -45,10 +34,6 @@ class Matrix {
 /// Solves min ||A x - b||_2 via Householder QR. Requires rows >= cols and
 /// full column rank; throws NumericalError otherwise.
 Vector solve_least_squares(const Matrix& a, const Vector& b);
-
-/// Solves (A^T A + lambda I) x = A^T b via Cholesky. With lambda > 0 this
-/// is ridge regression and always succeeds for finite inputs.
-Vector solve_ridge(const Matrix& a, const Vector& b, double lambda);
 
 /// Solves the symmetric positive-definite system S x = rhs in place via
 /// Cholesky decomposition; throws NumericalError when S is not SPD.

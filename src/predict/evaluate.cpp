@@ -52,8 +52,8 @@ LooResult evaluate_loo_refit(
       pooled_pred.push_back(eval.predicted.back());
       pooled_meas.push_back(eval.measured.back());
     }
-    // Same contract as leave_one_group_out: fewer than 2 scored samples
-    // yields no per-group report, only a pooled contribution.
+    // Fewer than 2 scored samples yields no per-group report, only a
+    // pooled contribution (see the header contract).
     if (eval.measured.size() >= 2) {
       eval.errors = compute_errors(eval.predicted, eval.measured);
       result.per_group.push_back(std::move(eval));

@@ -5,8 +5,8 @@
 // Works for any registered predictor family: per held-out ConvNet a fresh
 // predictor is constructed and fitted on the remaining ConvNets' samples,
 // then its predictions for the held-out samples are compared against the
-// family's target phase. Subsumes the old per-family loops
-// (evaluate_phase_loo / evaluate_train_step_loo).
+// family's target phase. This is the repo's only LOO implementation;
+// benches and the CLI score every family through it.
 //
 // Execution is streaming and group-aware for StreamingFitCapable families:
 // pass one folds every sample into a global accumulator plus one
@@ -26,9 +26,24 @@
 
 #include "collect/sample_stream.hpp"
 #include "predict/registry.hpp"
-#include "regress/loo.hpp"
+#include "regress/error_metrics.hpp"
 
 namespace convmeter {
+
+/// Scores of one held-out ConvNet.
+struct GroupEvaluation {
+  std::string group;
+  ErrorReport errors;
+  std::vector<double> predicted;  ///< per held-out sample
+  std::vector<double> measured;
+};
+
+/// Result of a full leave-one-ConvNet-out pass.
+struct LooResult {
+  std::vector<GroupEvaluation> per_group;  ///< sorted by group name
+  ErrorReport pooled;  ///< errors over all held-out predictions pooled
+  std::size_t skipped = 0;  ///< held-out samples the predictor rejected
+};
 
 /// Knobs of the streaming LOO pass.
 struct LooOptions {

@@ -1,9 +1,11 @@
 #include "predict/predictors.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "core/accumulate.hpp"
 
 namespace convmeter {
@@ -106,114 +108,71 @@ json::Value PhaseLinearPredictor::model_json() const {
 }
 
 void PhaseLinearPredictor::load_model_json(const json::Value& model) {
+  for (const char* key : {"phase", "feature_set", "multi_node", "model"}) {
+    if (!model.has(key)) {
+      throw ParseError("'" + name() + "' model payload lacks '" + key +
+                       "'; refit the model");
+    }
+  }
   phase_ = phase_from_name(model.at("phase").as_string());
   fs_ = feature_set_from_name(model.at("feature_set").as_string());
   multi_node_ = model.at("multi_node").as_bool();
   model_ = LinearModel::from_json(model.at("model"));
 }
 
-// ---- SimpleBaselineAdapter ------------------------------------------------
+// ---- LearnedPredictor ----------------------------------------------------
 
-SimpleBaselineAdapter::SimpleBaselineAdapter(std::string name, FeatureSet fs)
-    : Predictor(std::move(name)), fs_(fs) {}
+LearnedPredictor::LearnedPredictor(std::string name, MlpConfig config,
+                                   bool parser_limited)
+    : Predictor(std::move(name)),
+      config_(std::move(config)),
+      parser_limited_(parser_limited) {}
 
-void SimpleBaselineAdapter::do_fit(SampleStream& samples) {
-  model_ = SimpleBaseline::fit(samples, fs_);
+Vector LearnedPredictor::features(const RuntimeSample& s) {
+  const double b = s.mini_batch();
+  return {std::log(b * s.flops1), std::log(b * s.inputs1),
+          std::log(b * s.outputs1), std::log(s.weights),
+          std::log(s.layers), std::log(b)};
 }
 
-std::unique_ptr<FitAccumulator> SimpleBaselineAdapter::make_accumulator()
-    const {
-  return std::make_unique<TypedFitAccumulator<PhaseAccumulator>>(
-      PhaseAccumulator(Phase::kInference, fs_));
+bool LearnedPredictor::can_parse(const std::string& model_name) const {
+  // The concat-heavy Fire-module graph of squeezenet1_0 defeated DIPPM's
+  // parser in the paper's comparison (Sec. 4.1.3).
+  return !parser_limited_ || !starts_with(model_name, "squeezenet1_0");
 }
 
-void SimpleBaselineAdapter::fit_from_accumulator(const FitAccumulator& acc) {
-  const auto* typed =
-      dynamic_cast<const TypedFitAccumulator<PhaseAccumulator>*>(&acc);
-  CM_CHECK(typed != nullptr && typed->state().phase() == Phase::kInference,
-           "baseline got a foreign fit accumulator");
-  model_ = SimpleBaseline::from_model(fs_, typed->state().solve());
-  set_fitted();
-}
-
-double SimpleBaselineAdapter::do_predict(const RuntimeSample& sample) const {
-  CM_CHECK(model_.has_value(), "baseline has no fitted model");
-  return model_->predict(sample);
-}
-
-json::Value SimpleBaselineAdapter::model_json() const {
-  CM_CHECK(model_.has_value(), "baseline has no fitted model");
-  json::Value::Object obj;
-  obj.emplace("feature_set", json::Value(feature_set_name(fs_)));
-  obj.emplace("model", model_->model().to_json());
-  return json::Value(std::move(obj));
-}
-
-void SimpleBaselineAdapter::load_model_json(const json::Value& model) {
-  fs_ = feature_set_from_name(model.at("feature_set").as_string());
-  model_ =
-      SimpleBaseline::from_model(fs_, LinearModel::from_json(model.at("model")));
-}
-
-// ---- MlpBaselineAdapter ---------------------------------------------------
-
-MlpBaselineAdapter::MlpBaselineAdapter(MlpConfig config)
-    : Predictor("mlp"), config_(config) {}
-
-void MlpBaselineAdapter::do_fit(SampleStream& stream) {
-  // The MLP's iterative trainer needs the design matrix resident; this
-  // family materializes the stream (and the LOO harness refits it per fold).
+void LearnedPredictor::do_fit(SampleStream& stream) {
   const std::vector<RuntimeSample> samples = materialize(stream);
   std::vector<const RuntimeSample*> usable;
   for (const auto& s : samples) {
-    if (s.t_infer > 0.0) usable.push_back(&s);
+    if (can_parse(s.model) && s.t_infer > 0.0) usable.push_back(&s);
   }
-  CM_CHECK(usable.size() >= 8, "mlp predictor needs at least 8 samples");
-  Matrix x(usable.size(), DippmLikePredictor::features(*usable.front()).size());
+  CM_CHECK(usable.size() >= 8,
+           name() + " predictor needs at least 8 samples");
+  Matrix x(usable.size(), features(*usable.front()).size());
   Vector y(usable.size());
   for (std::size_t r = 0; r < usable.size(); ++r) {
-    const Vector row = DippmLikePredictor::features(*usable[r]);
+    const Vector row = features(*usable[r]);
     for (std::size_t c = 0; c < row.size(); ++c) x(r, c) = row[c];
     y[r] = usable[r]->t_infer;
   }
   model_ = MlpPredictor::fit(x, y, config_);
 }
 
-double MlpBaselineAdapter::do_predict(const RuntimeSample& sample) const {
-  CM_CHECK(model_.has_value(), "mlp predictor has no fitted model");
-  return model_->predict(DippmLikePredictor::features(sample));
+double LearnedPredictor::do_predict(const RuntimeSample& sample) const {
+  CM_CHECK(model_.has_value(), name() + " predictor has no fitted model");
+  CM_CHECK(can_parse(sample.model),
+           name() + " predictor cannot parse model '" + sample.model + "'");
+  return model_->predict(features(sample));
 }
 
-json::Value MlpBaselineAdapter::model_json() const {
-  CM_CHECK(model_.has_value(), "mlp predictor has no fitted model");
+json::Value LearnedPredictor::model_json() const {
+  CM_CHECK(model_.has_value(), name() + " predictor has no fitted model");
   return model_->to_json();
 }
 
-void MlpBaselineAdapter::load_model_json(const json::Value& model) {
+void LearnedPredictor::load_model_json(const json::Value& model) {
   model_ = MlpPredictor::from_json(model);
-}
-
-// ---- DippmAdapter ---------------------------------------------------------
-
-DippmAdapter::DippmAdapter(MlpConfig config)
-    : Predictor("dippm"), config_(config) {}
-
-void DippmAdapter::do_fit(SampleStream& stream) {
-  model_ = DippmLikePredictor::fit(materialize(stream), config_);
-}
-
-double DippmAdapter::do_predict(const RuntimeSample& sample) const {
-  CM_CHECK(model_.has_value(), "dippm predictor has no fitted model");
-  return model_->predict(sample);
-}
-
-json::Value DippmAdapter::model_json() const {
-  CM_CHECK(model_.has_value(), "dippm predictor has no fitted model");
-  return model_->to_json();
-}
-
-void DippmAdapter::load_model_json(const json::Value& model) {
-  model_ = DippmLikePredictor::from_json(model);
 }
 
 // ---- PaleoAdapter ---------------------------------------------------------

@@ -1,17 +1,15 @@
-// Concrete Predictor adapters: every predictor family in the repo behind
-// the polymorphic interface. The underlying classes (ConvMeter,
-// SimpleBaseline, MlpPredictor, DippmLikePredictor, PaleoLikePredictor)
-// remain directly usable; these adapters add the uniform fit/predict/
-// save/load contract the registry and the generic LOO harness need.
+// The concrete predictor families behind the polymorphic interface. Each
+// family is one class with one fit path and one JSON payload: the linear
+// families fit through the streaming accumulators (core/accumulate), the
+// learned families train the MLP engine (baselines/mlp), and paleo is a
+// datasheet roofline. The registry names every family.
 #pragma once
 
 #include <optional>
 #include <string>
 
-#include "baselines/dippm_like.hpp"
 #include "baselines/mlp.hpp"
 #include "baselines/paleo_like.hpp"
-#include "baselines/simple.hpp"
 #include "core/convmeter.hpp"
 #include "predict/predictor.hpp"
 
@@ -46,6 +44,10 @@ class ConvMeterPredictor : public Predictor, public StreamingFitCapable {
 /// combined FLOPs+Inputs+Outputs features). A phase override retargets the
 /// same linear form at t_fwd, t_bwd, t_grad or t_bwd+t_grad, which is how
 /// the training benches evaluate the per-phase models.
+///
+/// "flops-only" / "inputs-only" / "outputs-only": the paper's Fig. 2
+/// single-metric inference baselines, the same class with a single-metric
+/// feature set and the phase pinned to inference.
 class PhaseLinearPredictor : public Predictor, public StreamingFitCapable {
  public:
   PhaseLinearPredictor(std::string name, Phase phase, FeatureSet fs);
@@ -73,35 +75,26 @@ class PhaseLinearPredictor : public Predictor, public StreamingFitCapable {
   std::optional<LinearModel> model_;
 };
 
-/// "flops-only" / "inputs-only" / "outputs-only": the paper's Fig. 2
-/// single-metric inference baselines (SimpleBaseline underneath).
-class SimpleBaselineAdapter : public Predictor, public StreamingFitCapable {
+/// "mlp" / "dippm": the learned MLP regressor on log-scaled graph features,
+/// the stand-in for DIPPM (Sec. 4.1.3). Its iterative trainer needs the
+/// data resident, so fit() materializes the stream (and the LOO harness
+/// refits it per fold). With `parser_limited` the family also models the
+/// DIPPM parser's limitation ("DIPPM was unable to parse the model graph of
+/// squeezenet1_0"): such samples are dropped from the fit, and predict()
+/// throws InvalidArgument for them (the LOO harness counts them skipped).
+class LearnedPredictor : public Predictor {
  public:
-  SimpleBaselineAdapter(std::string name, FeatureSet fs);
+  LearnedPredictor(std::string name, MlpConfig config, bool parser_limited);
 
   Phase target() const override { return Phase::kInference; }
 
-  std::unique_ptr<FitAccumulator> make_accumulator() const override;
-  void fit_from_accumulator(const FitAccumulator& acc) override;
+  /// Log-scaled {b*F1, b*I1, b*O1, W, L, b}: latency spans orders of
+  /// magnitude, and a learned regressor wants compressed dynamic range.
+  static Vector features(const RuntimeSample& s);
 
- protected:
-  void do_fit(SampleStream& samples) override;
-  double do_predict(const RuntimeSample& sample) const override;
-  json::Value model_json() const override;
-  void load_model_json(const json::Value& model) override;
-
- private:
-  FeatureSet fs_;
-  std::optional<SimpleBaseline> model_;
-};
-
-/// "mlp": the learned MLP regressor on log-scaled graph features, fitted
-/// on every usable sample (no parser quirks).
-class MlpBaselineAdapter : public Predictor {
- public:
-  explicit MlpBaselineAdapter(MlpConfig config);
-
-  Phase target() const override { return Phase::kInference; }
+  /// False when the limited parser cannot read `model_name`; always true
+  /// without the limitation.
+  bool can_parse(const std::string& model_name) const;
 
  protected:
   void do_fit(SampleStream& samples) override;
@@ -111,27 +104,8 @@ class MlpBaselineAdapter : public Predictor {
 
  private:
   MlpConfig config_;
+  bool parser_limited_;
   std::optional<MlpPredictor> model_;
-};
-
-/// "dippm": the DIPPM-like learned baseline, including its parser
-/// limitation — predict() throws InvalidArgument for model families it
-/// cannot parse (the generic LOO harness counts those as skipped).
-class DippmAdapter : public Predictor {
- public:
-  explicit DippmAdapter(MlpConfig config);
-
-  Phase target() const override { return Phase::kInference; }
-
- protected:
-  void do_fit(SampleStream& samples) override;
-  double do_predict(const RuntimeSample& sample) const override;
-  json::Value model_json() const override;
-  void load_model_json(const json::Value& model) override;
-
- private:
-  MlpConfig config_;
-  std::optional<DippmLikePredictor> model_;
 };
 
 /// "paleo": the fitting-free analytical roofline baseline, evaluated from

@@ -23,9 +23,17 @@ PredictorRegistry::PredictorRegistry() {
           name, o.phase.value_or(default_phase), FeatureSet::kCombined);
     };
   };
-  const auto simple = [](const char* name, FeatureSet fs) {
+  // The single-metric baselines stay pinned to inference: the phase
+  // option does not apply to them.
+  const auto single_metric = [](const char* name, FeatureSet fs) {
     return [name, fs](const PredictorOptions&) {
-      return std::make_unique<SimpleBaselineAdapter>(name, fs);
+      return std::make_unique<PhaseLinearPredictor>(name, Phase::kInference,
+                                                    fs);
+    };
+  };
+  const auto learned = [](const char* name, bool parser_limited) {
+    return [name, parser_limited](const PredictorOptions& o) {
+      return std::make_unique<LearnedPredictor>(name, o.mlp, parser_limited);
     };
   };
   add({"convmeter",
@@ -37,12 +45,12 @@ PredictorRegistry::PredictorRegistry() {
        "forward/inference linear model on FLOPs+Inputs+Outputs (Eq. 3)",
        phase_linear("convmeter-fwd-only", Phase::kInference)});
   add({"flops-only", "single-metric linear baseline on FLOPs (Fig. 2)",
-       simple("flops-only", FeatureSet::kFlopsOnly)});
+       single_metric("flops-only", FeatureSet::kFlopsOnly)});
   add({"inputs-only", "single-metric linear baseline on conv inputs (Fig. 2)",
-       simple("inputs-only", FeatureSet::kInputsOnly)});
+       single_metric("inputs-only", FeatureSet::kInputsOnly)});
   add({"outputs-only",
        "single-metric linear baseline on conv outputs (Fig. 2)",
-       simple("outputs-only", FeatureSet::kOutputsOnly)});
+       single_metric("outputs-only", FeatureSet::kOutputsOnly)});
   add({"segmented",
        "per-op-family linear model (conv/gemm/attention/norm/elementwise "
        "FLOPs+IO, zoo models only)",
@@ -50,14 +58,10 @@ PredictorRegistry::PredictorRegistry() {
          return std::make_unique<SegmentedPredictor>();
        }});
   add({"mlp", "learned MLP regressor on log-scaled graph features",
-       [](const PredictorOptions& o) {
-         return std::make_unique<MlpBaselineAdapter>(o.mlp);
-       }});
+       learned("mlp", /*parser_limited=*/false)});
   add({"dippm",
        "DIPPM-like learned baseline (rejects models its parser cannot read)",
-       [](const PredictorOptions& o) {
-         return std::make_unique<DippmAdapter>(o.mlp);
-       }});
+       learned("dippm", /*parser_limited=*/true)});
   add({"paleo",
        "fitting-free analytical roofline from device datasheet numbers",
        [](const PredictorOptions& o) {

@@ -188,15 +188,10 @@ Vector IncrementalLS::solve() const {
   try {
     return solve_scaled(0.0);
   } catch (const NumericalError&) {
-    // Rank-deficient design (e.g. a constant feature column): the same
-    // light ridge fallback the materialized OLS used.
+    // Rank-deficient design (e.g. a constant feature column): a light
+    // ridge in scaled feature space.
     return solve_scaled(1e-8);
   }
-}
-
-Vector IncrementalLS::solve_ridge(double lambda) const {
-  CM_CHECK(lambda > 0.0, "solve_ridge: lambda must be positive");
-  return solve_scaled(lambda);
 }
 
 bool IncrementalLS::operator==(const IncrementalLS& other) const {

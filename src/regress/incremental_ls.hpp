@@ -12,12 +12,12 @@
 //     turns leave-one-group-out from G refits over RAM into
 //     "global − group" complements (predict/evaluate).
 //
-// solve() reproduces the old LinearModel::fit formulation: columns are
-// rescaled by their max absolute value, the scaled normal equations are
-// solved by Cholesky with two rounds of compensated iterative refinement
-// (which recovers the accuracy QR had on these small, well-scaled systems),
-// and a rank-deficient system falls back to the same λ = 1e-8 ridge in
-// scaled feature space.
+// solve() rescales columns by their max absolute value (ConvMeter's raw
+// features span ~12 orders of magnitude, FLOPs next to a constant column),
+// solves the scaled normal equations by Cholesky with two rounds of
+// compensated iterative refinement (which recovers the accuracy of a
+// Householder QR on these small, well-scaled systems), and falls back to a
+// λ = 1e-8 ridge in scaled feature space when the system is rank deficient.
 #pragma once
 
 #include <array>
@@ -93,12 +93,9 @@ class IncrementalLS {
   void subtract(const IncrementalLS& other);
 
   /// OLS solve; falls back to the λ = 1e-8 ridge (in scaled feature space)
-  /// when the normal equations are rank deficient, matching the old
-  /// LinearModel::fit. Requires count() >= cols().
+  /// when the normal equations are rank deficient (e.g. a constant feature
+  /// column). Requires count() >= cols().
   Vector solve() const;
-
-  /// Ridge solve with an explicit penalty (scaled feature space).
-  Vector solve_ridge(double lambda) const;
 
   /// Canonical equality of the accumulated statistics.
   bool operator==(const IncrementalLS& other) const;

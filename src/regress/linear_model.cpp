@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "regress/incremental_ls.hpp"
 
 namespace convmeter {
 
@@ -15,31 +14,6 @@ LinearModel LinearModel::from_coefficients(Vector coefficients) {
   return m;
 }
 
-LinearModel LinearModel::fit(const Matrix& x, const Vector& y) {
-  CM_CHECK(x.rows() == y.size(), "fit: row count mismatch");
-  CM_CHECK(x.rows() >= x.cols(),
-           "fit: need at least as many samples as features");
-  IncrementalLS ls(x.cols());
-  Vector row(x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] = x(r, c);
-    ls.observe(row, y[r]);
-  }
-  return from_coefficients(ls.solve());
-}
-
-LinearModel LinearModel::fit_ridge(const Matrix& x, const Vector& y,
-                                   double lambda) {
-  CM_CHECK(x.rows() == y.size(), "fit_ridge: row count mismatch");
-  IncrementalLS ls(x.cols());
-  Vector row(x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] = x(r, c);
-    ls.observe(row, y[r]);
-  }
-  return from_coefficients(ls.solve_ridge(lambda));
-}
-
 double LinearModel::predict(const Vector& features) const {
   CM_CHECK(features.size() == coefficients_.size(),
            "predict: feature width mismatch");
@@ -48,10 +22,6 @@ double LinearModel::predict(const Vector& features) const {
     sum += features[i] * coefficients_[i];
   }
   return sum;
-}
-
-Vector LinearModel::predict_all(const Matrix& x) const {
-  return x.times(coefficients_);
 }
 
 std::string LinearModel::to_text() const {

@@ -1,6 +1,6 @@
-// Ordinary-least-squares linear regression, the modeling core of ConvMeter
-// (Sec. 3.4: "We use linear regression to compute the coefficients for the
-// performance models based on the measurements").
+// The fitted linear form, the modeling core of ConvMeter (Sec. 3.4: "We use
+// linear regression to compute the coefficients for the performance models
+// based on the measurements").
 #pragma once
 
 #include <string>
@@ -11,33 +11,19 @@
 
 namespace convmeter {
 
-/// A fitted linear model y ≈ X · coefficients.
+/// A fitted linear model y ≈ x · coefficients.
 ///
-/// Feature scaling: columns are divided by their max absolute value before
-/// the solve and the coefficients rescaled back afterwards. ConvMeter's raw
-/// features span ~12 orders of magnitude (FLOPs vs a constant column), so
-/// without this the solve would be badly conditioned.
+/// Fitting lives in the streaming accumulators (core/accumulate solves
+/// through IncrementalLS, which rescales columns and falls back to a light
+/// ridge on rank deficiency); this class holds, applies and serializes the
+/// solved coefficients.
 class LinearModel {
  public:
-  /// Wraps already-solved coefficients (the streaming accumulators in
-  /// core/accumulate solve through IncrementalLS and construct with this).
+  /// Wraps already-solved coefficients.
   static LinearModel from_coefficients(Vector coefficients);
-
-  /// Fits with OLS via IncrementalLS (column-rescaled normal equations
-  /// with compensated iterative refinement); falls back to a lightly
-  /// regularized ridge solve when the design is rank deficient (which
-  /// happens when e.g. every sample has N = 1 and the N column is constant).
-  static LinearModel fit(const Matrix& x, const Vector& y);
-
-  /// Fits with the given ridge penalty (applied in scaled feature space).
-  static LinearModel fit_ridge(const Matrix& x, const Vector& y,
-                               double lambda);
 
   /// Prediction for one feature row.
   double predict(const Vector& features) const;
-
-  /// Predictions for every row of `x`.
-  Vector predict_all(const Matrix& x) const;
 
   const Vector& coefficients() const { return coefficients_; }
 

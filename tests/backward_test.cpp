@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "exec/backward.hpp"
@@ -11,6 +12,12 @@
 #include "graph/shape_inference.hpp"
 
 namespace convmeter {
+
+// Printed in the listed test names of the AllKinds sweep; the default is a
+// raw byte dump of the enum. Declared outside the anonymous namespace so
+// argument-dependent lookup from gtest finds it next to ActKind.
+void PrintTo(ActKind kind, std::ostream* os) { *os << act_kind_name(kind); }
+
 namespace {
 
 constexpr float kEps = 1e-3f;
@@ -137,6 +144,10 @@ struct ConvBwdCase {
       groups, dilation;
   bool bias;
 };
+
+// Printed in the test's listed name; the default byte dump would include
+// the name string's heap or stack address, which differs between runs.
+void PrintTo(const ConvBwdCase& c, std::ostream* os) { *os << c.name; }
 
 class ConvBackwardAgreement : public ::testing::TestWithParam<ConvBwdCase> {};
 

@@ -1,14 +1,16 @@
-// Baseline-predictor tests: single-metric baselines, the MLP regressor on
-// learnable synthetic functions, and the DIPPM-like wrapper's contract.
+// Baseline-predictor tests: the single-metric linear baselines, the MLP
+// regressor on learnable synthetic functions, and the dippm family's
+// parser-limitation contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
-#include "baselines/dippm_like.hpp"
 #include "baselines/mlp.hpp"
-#include "baselines/simple.hpp"
 #include "common/rng.hpp"
+#include "predict/predictors.hpp"
+#include "predict/registry.hpp"
 
 namespace convmeter {
 namespace {
@@ -36,33 +38,36 @@ std::vector<RuntimeSample> inference_samples() {
   return samples;
 }
 
-TEST(SimpleBaselineTest, FitsAndPredictsEachFeatureSet) {
+TEST(SingleMetricBaselineTest, FitsAndPredictsEachFeatureSet) {
   const auto samples = inference_samples();
-  for (const FeatureSet fs :
-       {FeatureSet::kFlopsOnly, FeatureSet::kInputsOnly,
-        FeatureSet::kOutputsOnly, FeatureSet::kCombined}) {
-    const SimpleBaseline b = SimpleBaseline::fit(samples, fs);
-    EXPECT_EQ(b.feature_set(), fs);
-    EXPECT_EQ(b.name(), feature_set_name(fs));
-    EXPECT_GT(b.predict(samples.front()), 0.0);
+  for (const auto& [name, fs] :
+       {std::pair{"flops-only", FeatureSet::kFlopsOnly},
+        std::pair{"inputs-only", FeatureSet::kInputsOnly},
+        std::pair{"outputs-only", FeatureSet::kOutputsOnly},
+        std::pair{"convmeter-fwd-only", FeatureSet::kCombined}}) {
+    const auto p = make_predictor(name);
+    p->fit(samples);
+    const auto* linear = dynamic_cast<const PhaseLinearPredictor*>(p.get());
+    ASSERT_NE(linear, nullptr) << name;
+    EXPECT_EQ(linear->feature_set(), fs) << name;
+    EXPECT_EQ(linear->target(), Phase::kInference) << name;
+    EXPECT_GT(p->predict(samples.front()), 0.0) << name;
   }
 }
 
-TEST(SimpleBaselineTest, CombinedFitsBetterThanWorstSingleMetric) {
+TEST(SingleMetricBaselineTest, CombinedFitsBetterThanWorstSingleMetric) {
   const auto samples = inference_samples();
-  const auto sse = [&](const SimpleBaseline& b) {
+  const auto sse = [&](const char* name) {
+    const auto p = make_predictor(name);
+    p->fit(samples);
     double total = 0.0;
     for (const auto& s : samples) {
-      const double e = b.predict(s) - s.t_infer;
+      const double e = p->predict(s) - s.t_infer;
       total += e * e;
     }
     return total;
   };
-  const double combined =
-      sse(SimpleBaseline::fit(samples, FeatureSet::kCombined));
-  const double outputs =
-      sse(SimpleBaseline::fit(samples, FeatureSet::kOutputsOnly));
-  EXPECT_LE(combined, outputs * 1.0001);
+  EXPECT_LE(sse("convmeter-fwd-only"), sse("outputs-only") * 1.0001);
 }
 
 TEST(MlpTest, LearnsLinearFunction) {
@@ -136,37 +141,54 @@ TEST(MlpTest, PredictWidthChecked) {
   EXPECT_THROW(mlp.predict({1.0}), InvalidArgument);
 }
 
+PredictorOptions learned_options(std::size_t epochs) {
+  PredictorOptions options;
+  options.mlp.epochs = epochs;
+  return options;
+}
+
 TEST(DippmLikeTest, CannotParseSqueezeNet) {
-  EXPECT_FALSE(DippmLikePredictor::can_parse("squeezenet1_0"));
-  EXPECT_TRUE(DippmLikePredictor::can_parse("resnet50"));
-  EXPECT_TRUE(DippmLikePredictor::can_parse("squeezenet1_1"));
+  const auto dippm = make_predictor("dippm");
+  const auto& limited = dynamic_cast<const LearnedPredictor&>(*dippm);
+  EXPECT_FALSE(limited.can_parse("squeezenet1_0"));
+  EXPECT_TRUE(limited.can_parse("resnet50"));
+  EXPECT_TRUE(limited.can_parse("squeezenet1_1"));
+  // The plain mlp family shares the engine but not the parser limitation.
+  const auto mlp = make_predictor("mlp");
+  EXPECT_TRUE(
+      dynamic_cast<const LearnedPredictor&>(*mlp).can_parse("squeezenet1_0"));
 }
 
 TEST(DippmLikeTest, FitsAndPredictsParsableModels) {
   const auto samples = inference_samples();
-  MlpConfig cfg;
-  cfg.epochs = 50;
-  const DippmLikePredictor p = DippmLikePredictor::fit(samples, cfg);
+  const auto p = make_predictor("dippm", learned_options(50));
+  p->fit(samples);
   for (const auto& s : samples) {
-    if (!DippmLikePredictor::can_parse(s.model)) continue;
-    EXPECT_GT(p.predict(s), 0.0);
+    if (s.model == "squeezenet1_0") continue;
+    EXPECT_GT(p->predict(s), 0.0);
   }
 }
 
 TEST(DippmLikeTest, PredictThrowsForUnparsableModel) {
   const auto samples = inference_samples();
-  MlpConfig cfg;
-  cfg.epochs = 5;
-  const DippmLikePredictor p = DippmLikePredictor::fit(samples, cfg);
-  RuntimeSample sq = samples.front();
+  const auto p = make_predictor("dippm", learned_options(5));
+  p->fit(samples);
+  const RuntimeSample& sq = samples.front();
   ASSERT_EQ(sq.model, "squeezenet1_0");
-  EXPECT_THROW(p.predict(sq), InvalidArgument);
+  EXPECT_THROW(p->predict(sq), InvalidArgument);
 }
 
 TEST(DippmLikeTest, NeedsEnoughSamples) {
   const auto all = inference_samples();
-  const std::vector<RuntimeSample> few(all.begin(), all.begin() + 4);
-  EXPECT_THROW(DippmLikePredictor::fit(few), InvalidArgument);
+  // The first five samples are squeezenet1_0's, which dippm drops, so
+  // eight samples leave only three usable ones; mlp keeps all eight.
+  const std::vector<RuntimeSample> few(all.begin(), all.begin() + 8);
+  EXPECT_THROW(make_predictor("dippm", learned_options(5))->fit(few),
+               InvalidArgument);
+  EXPECT_NO_THROW(make_predictor("mlp", learned_options(5))->fit(few));
+  const std::vector<RuntimeSample> seven(all.begin() + 5, all.begin() + 12);
+  EXPECT_THROW(make_predictor("mlp", learned_options(5))->fit(seven),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -101,15 +101,6 @@ TEST(FeaturesTest, TargetValueSelectsPhase) {
   EXPECT_DOUBLE_EQ(target_value(s, Phase::kTrainStep), s.t_step);
 }
 
-TEST(FeaturesTest, DesignMatrixDimensions) {
-  const auto samples = planted_set(true);
-  const Design d = build_design(samples, Phase::kTrainStep,
-                                FeatureSet::kCombined);
-  EXPECT_EQ(d.x.rows(), samples.size());
-  EXPECT_EQ(d.x.cols(), 7u);
-  EXPECT_EQ(d.groups.size(), samples.size());
-}
-
 TEST(FeaturesTest, NamesAreStable) {
   EXPECT_EQ(feature_set_name(FeatureSet::kCombined), "combined");
   EXPECT_EQ(phase_name(Phase::kBwdGrad), "bwd_grad");

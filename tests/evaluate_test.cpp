@@ -124,6 +124,47 @@ TEST(EvaluateTest, UnknownPredictorNameRejected) {
 
 
 // ---------------------------------------------------------------------------
+// LOO mechanics on both evaluation paths: streaming (convmeter-fwd-only
+// accumulates) and materialize-and-refit (paleo, mlp).
+
+TEST(LooTest, RequiresTwoGroups) {
+  EXPECT_THROW(evaluate_loo("convmeter-fwd-only", lawful_samples(1)),
+               InvalidArgument);
+  EXPECT_THROW(evaluate_loo("paleo", lawful_samples(1)), InvalidArgument);
+}
+
+TEST(LooTest, PooledCountsAllSamples) {
+  const auto samples = lawful_samples(2);
+  EXPECT_EQ(evaluate_loo("convmeter-fwd-only", samples).pooled.count,
+            samples.size());
+  EXPECT_EQ(evaluate_loo("paleo", samples).pooled.count, samples.size());
+}
+
+TEST(LooTest, SingleSampleGroupContributesToPooledOnly) {
+  // "lone" holds exactly one sample: per-group error metrics need at least
+  // two points, so it must not appear in per_group, but its prediction
+  // still counts pooled. Checked on both evaluation paths.
+  auto samples = lawful_samples(2);
+  RuntimeSample lone = samples.front();
+  lone.model = "lone";
+  samples.push_back(lone);
+
+  PredictorOptions fast_mlp;
+  fast_mlp.mlp.epochs = 5;
+  for (const char* family : {"convmeter-fwd-only", "paleo", "mlp"}) {
+    const LooResult r = evaluate_loo(family, samples, fast_mlp);
+    ASSERT_EQ(r.per_group.size(), 2u) << family;
+    EXPECT_EQ(r.per_group[0].group, "net0") << family;
+    EXPECT_EQ(r.per_group[1].group, "net1") << family;
+    EXPECT_EQ(r.pooled.count, samples.size()) << family;
+    EXPECT_EQ(r.skipped, 0u) << family;
+  }
+  // The streaming path's lone prediction is exact under the shared law.
+  EXPECT_NEAR(evaluate_loo("convmeter-fwd-only", samples).pooled.mape, 0.0,
+              1e-6);
+}
+
+// ---------------------------------------------------------------------------
 // Streaming LOO: the group-aware accumulator path must agree with the
 // refit-per-fold protocol it replaced, and accumulator fits must agree
 // with vector fits.

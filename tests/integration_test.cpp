@@ -4,7 +4,6 @@
 // orderings) rather than exact numbers.
 #include <gtest/gtest.h>
 
-#include "baselines/dippm_like.hpp"
 #include "backend/sim_backend.hpp"
 #include "collect/campaign.hpp"
 #include "core/convmeter.hpp"
@@ -175,16 +174,17 @@ TEST(IntegrationBaseline, ConvMeterBeatsDippmLikeOnHeldOutModel) {
     (s.model == held_out ? test : train).push_back(s);
   }
   const ConvMeter ours = ConvMeter::fit_inference(train);
-  MlpConfig cfg;
-  cfg.epochs = 120;
-  const DippmLikePredictor theirs = DippmLikePredictor::fit(train, cfg);
+  PredictorOptions options;
+  options.mlp.epochs = 120;
+  const auto theirs = make_predictor("dippm", options);
+  theirs->fit(train);
 
   std::vector<double> ours_pred;
   std::vector<double> theirs_pred;
   std::vector<double> measured;
   for (const auto& s : test) {
     ours_pred.push_back(ours.predict_inference(QueryPoint::from_sample(s)));
-    theirs_pred.push_back(theirs.predict(s));
+    theirs_pred.push_back(theirs->predict(s));
     measured.push_back(s.t_infer);
   }
   const double ours_mape = compute_errors(ours_pred, measured).mape;

@@ -1,4 +1,4 @@
-// Linear algebra tests: QR least squares, Cholesky/ridge, statistics.
+// Linear algebra tests: QR least squares, Cholesky, statistics.
 // Includes the planted-coefficient recovery property the regression relies
 // on.
 #include <gtest/gtest.h>
@@ -19,42 +19,6 @@ TEST(MatrixTest, IndexingAndBounds) {
   EXPECT_DOUBLE_EQ(m(1, 2), 5.0);
   EXPECT_THROW(m(2, 0), InvalidArgument);
   EXPECT_THROW(m(0, 3), InvalidArgument);
-}
-
-TEST(MatrixTest, TimesMatchesHandComputation) {
-  Matrix m(2, 2);
-  m(0, 0) = 1;
-  m(0, 1) = 2;
-  m(1, 0) = 3;
-  m(1, 1) = 4;
-  const Vector y = m.times({1.0, 1.0});
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-}
-
-TEST(MatrixTest, GramIsSymmetric) {
-  Rng rng(1);
-  Matrix m(5, 3);
-  for (std::size_t r = 0; r < 5; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) m(r, c) = rng.normal();
-  }
-  const Matrix g = m.gram();
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_DOUBLE_EQ(g(i, j), g(j, i));
-    }
-  }
-}
-
-TEST(MatrixTest, TransposeTimes) {
-  Matrix m(2, 2);
-  m(0, 0) = 1;
-  m(0, 1) = 2;
-  m(1, 0) = 3;
-  m(1, 1) = 4;
-  const Vector v = m.transpose_times({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(v[0], 7.0);   // 1*1 + 3*2
-  EXPECT_DOUBLE_EQ(v[1], 10.0);  // 2*1 + 4*2
 }
 
 TEST(LeastSquaresTest, ExactSquareSystem) {
@@ -124,42 +88,6 @@ TEST_P(PlantedRecovery, RecoversCoefficientsUnderNoise) {
 
 INSTANTIATE_TEST_SUITE_P(NoiseLevels, PlantedRecovery,
                          ::testing::Values(0.0, 0.01, 0.1, 0.5));
-
-TEST(RidgeTest, MatchesOlsForTinyLambda) {
-  Rng rng(5);
-  Matrix a(50, 3);
-  Vector y(50);
-  for (std::size_t r = 0; r < 50; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) a(r, c) = rng.normal();
-    y[r] = a(r, 0) - a(r, 2) + rng.normal(0.0, 0.01);
-  }
-  const Vector ols = solve_least_squares(a, y);
-  const Vector ridge = solve_ridge(a, y, 1e-10);
-  for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(ridge[c], ols[c], 1e-6);
-}
-
-TEST(RidgeTest, HandlesRankDeficiency) {
-  Matrix a(4, 2);
-  for (std::size_t r = 0; r < 4; ++r) {
-    a(r, 0) = 1.0;
-    a(r, 1) = 1.0;
-  }
-  const Vector x = solve_ridge(a, {2.0, 2.0, 2.0, 2.0}, 1e-6);
-  // Symmetric problem -> symmetric solution, each coefficient ~1.
-  EXPECT_NEAR(x[0], x[1], 1e-9);
-  EXPECT_NEAR(x[0] + x[1], 2.0, 1e-3);
-}
-
-TEST(RidgeTest, ShrinksTowardZeroForLargeLambda) {
-  Matrix a(3, 1);
-  a(0, 0) = 1;
-  a(1, 0) = 2;
-  a(2, 0) = 3;
-  const Vector small = solve_ridge(a, {1.0, 2.0, 3.0}, 1e-9);
-  const Vector big = solve_ridge(a, {1.0, 2.0, 3.0}, 1e6);
-  EXPECT_NEAR(small[0], 1.0, 1e-6);
-  EXPECT_LT(std::fabs(big[0]), 0.01);
-}
 
 TEST(SpdTest, SolvesKnownSystem) {
   Matrix s(2, 2);

@@ -2,6 +2,8 @@
 // property (Eq. 3's foundation), and golden GFLOP values for zoo models.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "metrics/metrics.hpp"
 #include "models/zoo.hpp"
 
@@ -103,6 +105,10 @@ struct FlopsGolden {
   const char* name;
   double gflops;
 };
+
+// Printed in the test's listed name; the default byte dump would include
+// the name's pointer value, which differs from one run to the next.
+void PrintTo(const FlopsGolden& g, std::ostream* os) { *os << g.name; }
 
 class FlopsGoldenTest : public ::testing::TestWithParam<FlopsGolden> {};
 

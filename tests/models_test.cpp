@@ -3,6 +3,8 @@
 // torchvision parameter counts exactly.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "graph/shape_inference.hpp"
 #include "metrics/metrics.hpp"
 #include "models/zoo.hpp"
@@ -46,6 +48,10 @@ struct ParamGolden {
   const char* name;
   std::int64_t params;
 };
+
+// Printed in the test's listed name; the default byte dump would include
+// the name's pointer value, which differs from one run to the next.
+void PrintTo(const ParamGolden& g, std::ostream* os) { *os << g.name; }
 
 class ParamCountTest : public ::testing::TestWithParam<ParamGolden> {};
 

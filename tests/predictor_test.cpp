@@ -129,6 +129,8 @@ TEST(RegistryTest, PhaseOptionRetargetsLinearPredictor) {
   const auto p = make_predictor("convmeter-fwd-only", options);
   EXPECT_EQ(p->target(), Phase::kBwdGrad);
   EXPECT_EQ(make_predictor("convmeter-fwd-only")->target(), Phase::kInference);
+  // The single-metric baselines stay pinned to inference.
+  EXPECT_EQ(make_predictor("flops-only", options)->target(), Phase::kInference);
 }
 
 // ---- fit/predict contract --------------------------------------------------
@@ -252,6 +254,17 @@ TEST(ModelFileTest, ConvMeterRequiresTrainingBlocks) {
   env.emplace("model", inference_only.to_json());
   EXPECT_THROW(load_predictor_json(json::dump(json::Value(std::move(env)))),
                ParseError);
+}
+
+TEST(ModelFileTest, SingleMetricPayloadWithoutPhaseRejected) {
+  // Single-metric baselines share the phase model's payload; the older
+  // {"feature_set","model"} shape without "phase"/"multi_node" must fail
+  // as a parse error, not load with a guessed phase.
+  const std::string old_payload =
+      R"({"format": "convmeter-predictor", "version": 1,
+          "predictor": "flops-only",
+          "model": {"feature_set": "flops", "model": [1e-12, 0.001]}})";
+  EXPECT_THROW(load_predictor_json(old_payload), ParseError);
 }
 
 // ---- generic LOO harness ---------------------------------------------------

@@ -177,21 +177,49 @@ TEST_F(ProfileTest, LinearDissectionSumsToWholeNetPrediction) {
 }
 
 TEST_F(ProfileTest, OpaquePredictorSplitsByRoofline) {
-  const auto predictor = make_predictor("flops-only", PredictorOptions{});
+  // paleo exposes no linear form, so its one whole-net number is split
+  // across layers in proportion to the roofline view of each kernel.
+  const auto predictor = make_predictor("paleo", PredictorOptions{});
   ASSERT_NE(predictor, nullptr);
-  predictor->fit(planted_samples());
 
   const Graph g = models::build("squeezenet1_1");
   const obs::ProfileReport report =
       obs::profile_model("squeezenet1_1", g, fast_options(), predictor.get());
-  // flops-only is a PhaseLinearPredictor, so it still dissects; mlp/dippm
-  // would split. Either way the per-layer estimates must sum to the total.
+  EXPECT_EQ(report.attribution, "roofline-split");
   double layer_sum = 0.0;
   for (const obs::LayerAttribution& row : report.layers) {
     layer_sum += row.predicted_seconds;
   }
   EXPECT_NEAR(layer_sum, report.predicted_total_seconds,
               std::fabs(report.predicted_total_seconds) * 1e-9);
+}
+
+TEST_F(ProfileTest, SingleMetricBaselineDissectsLinearly) {
+  // flops-only is a PhaseLinearPredictor with a FLOPs-only feature set, so
+  // the profiler dissects its coefficients rather than splitting by
+  // roofline, and the per-layer estimates reassemble its prediction.
+  const auto predictor = make_predictor("flops-only", PredictorOptions{});
+  predictor->fit(planted_samples());
+
+  const Graph g = models::build("squeezenet1_1");
+  const obs::ProfileOptions options = fast_options();
+  const obs::ProfileReport report =
+      obs::profile_model("squeezenet1_1", g, options, predictor.get());
+  EXPECT_EQ(report.attribution, "linear-dissection");
+  EXPECT_EQ(report.predictor, "flops-only");
+
+  QueryPoint q;
+  q.metrics_b1 = compute_metrics_b1(g, options.image);
+  q.per_device_batch = static_cast<double>(options.batch);
+  const double whole_net = predictor->predict(q.as_sample());
+  ASSERT_GT(whole_net, 0.0);
+  double layer_sum = 0.0;
+  for (const obs::LayerAttribution& row : report.layers) {
+    layer_sum += row.predicted_seconds;
+  }
+  EXPECT_NEAR(layer_sum, whole_net, std::fabs(whole_net) * 1e-6);
+  EXPECT_NEAR(report.predicted_total_seconds, whole_net,
+              std::fabs(whole_net) * 1e-6);
 }
 
 TEST_F(ProfileTest, UnfittedPredictorIsRejected) {

@@ -1,5 +1,6 @@
-// Regression-layer tests: LinearModel fit/predict/serialize, error metrics
-// against hand-computed values, leave-one-group-out mechanics.
+// Regression-layer tests: LinearModel fits through IncrementalLS, predict
+// and serialization, error metrics against hand-computed values, and the
+// exactness of the streaming least-squares accumulators.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,22 +11,21 @@
 #include "regress/error_metrics.hpp"
 #include "regress/incremental_ls.hpp"
 #include "regress/linear_model.hpp"
-#include "regress/loo.hpp"
 
 namespace convmeter {
 namespace {
 
-Matrix make_design(const std::vector<Vector>& rows) {
-  Matrix x(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < rows[r].size(); ++c) x(r, c) = rows[r][c];
-  }
-  return x;
+/// Ordinary least squares through the production solver path: one
+/// IncrementalLS pass, coefficients wrapped in a LinearModel.
+LinearModel fit_rows(const std::vector<Vector>& rows, const Vector& y) {
+  IncrementalLS ls(rows.front().size());
+  for (std::size_t r = 0; r < rows.size(); ++r) ls.observe(rows[r], y[r]);
+  return LinearModel::from_coefficients(ls.solve());
 }
 
 TEST(LinearModelTest, FitsExactLine) {
-  const Matrix x = make_design({{0.0, 1.0}, {1.0, 1.0}, {2.0, 1.0}});
-  const LinearModel m = LinearModel::fit(x, {1.0, 3.0, 5.0});
+  const LinearModel m =
+      fit_rows({{0.0, 1.0}, {1.0, 1.0}, {2.0, 1.0}}, {1.0, 3.0, 5.0});
   EXPECT_NEAR(m.coefficients()[0], 2.0, 1e-9);
   EXPECT_NEAR(m.coefficients()[1], 1.0, 1e-9);
   EXPECT_NEAR(m.predict({10.0, 1.0}), 21.0, 1e-8);
@@ -33,40 +33,29 @@ TEST(LinearModelTest, FitsExactLine) {
 
 TEST(LinearModelTest, HandlesWildFeatureScales) {
   // FLOPs-like (1e9) next to a constant column — the conditioning case the
-  // internal column scaling exists for.
+  // solver's internal column scaling exists for.
   Rng rng(3);
   constexpr std::size_t n = 64;
-  Matrix x(n, 2);
+  std::vector<Vector> rows(n);
   Vector y(n);
   for (std::size_t r = 0; r < n; ++r) {
-    x(r, 0) = rng.uniform(1e8, 5e10);
-    x(r, 1) = 1.0;
-    y[r] = 3e-12 * x(r, 0) + 0.25;
+    rows[r] = {rng.uniform(1e8, 5e10), 1.0};
+    y[r] = 3e-12 * rows[r][0] + 0.25;
   }
-  const LinearModel m = LinearModel::fit(x, y);
+  const LinearModel m = fit_rows(rows, y);
   EXPECT_NEAR(m.coefficients()[0], 3e-12, 1e-15);
   EXPECT_NEAR(m.coefficients()[1], 0.25, 1e-6);
 }
 
 TEST(LinearModelTest, FallsBackToRidgeOnRankDeficiency) {
-  // Constant duplicate columns would break plain QR.
-  const Matrix x = make_design({{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}});
-  const LinearModel m = LinearModel::fit(x, {2.0, 2.0, 2.0});
+  // Constant duplicate columns make the normal equations singular.
+  const LinearModel m =
+      fit_rows({{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}}, {2.0, 2.0, 2.0});
   EXPECT_NEAR(m.predict({1.0, 1.0}), 2.0, 1e-3);
 }
 
-TEST(LinearModelTest, PredictAllMatchesPredict) {
-  const Matrix x = make_design({{1.0, 1.0}, {2.0, 1.0}, {5.0, 1.0}});
-  const LinearModel m = LinearModel::fit(x, {3.0, 5.0, 11.0});
-  const Vector all = m.predict_all(x);
-  for (std::size_t r = 0; r < 3; ++r) {
-    EXPECT_NEAR(all[r], m.predict({x(r, 0), x(r, 1)}), 1e-12);
-  }
-}
-
 TEST(LinearModelTest, SerializationRoundTrip) {
-  const Matrix x = make_design({{0.0, 1.0}, {1.0, 1.0}, {2.0, 1.0}});
-  const LinearModel m = LinearModel::fit(x, {1.0, 3.0, 5.0});
+  const LinearModel m = LinearModel::from_coefficients({2.0, 1.0 / 3.0});
   const LinearModel back = LinearModel::from_text(m.to_text());
   ASSERT_EQ(back.coefficients().size(), m.coefficients().size());
   for (std::size_t i = 0; i < m.coefficients().size(); ++i) {
@@ -80,8 +69,7 @@ TEST(LinearModelTest, MalformedTextThrows) {
 }
 
 TEST(LinearModelTest, PredictWidthChecked) {
-  const Matrix x = make_design({{0.0, 1.0}, {1.0, 1.0}});
-  const LinearModel m = LinearModel::fit(x, {1.0, 2.0});
+  const LinearModel m = LinearModel::from_coefficients({1.0, 1.0});
   EXPECT_THROW(m.predict({1.0}), InvalidArgument);
 }
 
@@ -123,78 +111,6 @@ TEST(ErrorMetricsTest, Validation) {
   EXPECT_THROW(compute_errors({1.0}, {1.0, 2.0}), InvalidArgument);
   EXPECT_THROW(compute_errors({1.0}, {1.0}), InvalidArgument);
 }
-
-TEST(LooTest, HoldsOutEachGroup) {
-  // Two groups on the same exact line: held-out predictions are exact.
-  Matrix x = make_design(
-      {{1.0, 1.0}, {2.0, 1.0}, {3.0, 1.0}, {4.0, 1.0}, {5.0, 1.0}, {6.0, 1.0}});
-  Vector y(6);
-  for (std::size_t i = 0; i < 6; ++i) y[i] = 2.0 * x(i, 0) + 1.0;
-  const std::vector<std::string> groups = {"a", "a", "a", "b", "b", "b"};
-  const LooResult r = leave_one_group_out(x, y, groups);
-  ASSERT_EQ(r.per_group.size(), 2u);
-  EXPECT_EQ(r.per_group[0].group, "a");
-  EXPECT_EQ(r.per_group[1].group, "b");
-  EXPECT_NEAR(r.pooled.rmse, 0.0, 1e-9);
-  EXPECT_NEAR(r.per_group[0].errors.mape, 0.0, 1e-9);
-}
-
-TEST(LooTest, GroupModelExcludesOwnData) {
-  // Group "b" lies far off group "a"'s line; its held-out error must be
-  // large even though a joint fit could absorb it.
-  Matrix x = make_design({{1.0, 1.0},
-                          {2.0, 1.0},
-                          {3.0, 1.0},
-                          {1.0, 1.0},
-                          {2.0, 1.0},
-                          {3.0, 1.0}});
-  Vector y = {2.0, 4.0, 6.0, 20.0, 40.0, 60.0};
-  const std::vector<std::string> groups = {"a", "a", "a", "b", "b", "b"};
-  const LooResult r = leave_one_group_out(x, y, groups);
-  const auto& b = r.per_group[1];
-  ASSERT_EQ(b.group, "b");
-  EXPECT_GT(b.errors.mape, 0.5);
-}
-
-TEST(LooTest, RequiresTwoGroups) {
-  Matrix x = make_design({{1.0}, {2.0}});
-  EXPECT_THROW(leave_one_group_out(x, {1.0, 2.0}, {"a", "a"}),
-               InvalidArgument);
-}
-
-TEST(LooTest, SizeMismatchThrows) {
-  Matrix x = make_design({{1.0}, {2.0}});
-  EXPECT_THROW(leave_one_group_out(x, {1.0}, {"a", "b"}), InvalidArgument);
-}
-
-TEST(LooTest, PooledCountsAllSamples) {
-  Matrix x = make_design({{1.0, 1.0}, {2.0, 1.0}, {3.0, 1.0}, {4.0, 1.0}});
-  Vector y = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<std::string> groups = {"a", "a", "b", "b"};
-  const LooResult r = leave_one_group_out(x, y, groups);
-  EXPECT_EQ(r.pooled.count, 4u);
-}
-
-TEST(LooTest, SingleSampleGroupContributesToPooledOnly) {
-  // Group "c" holds exactly one sample: per-group error metrics need at
-  // least two points, so it must not appear in per_group (it used to show
-  // up as an all-zero report), but its prediction still counts pooled.
-  Matrix x = make_design({{1.0, 1.0},
-                          {2.0, 1.0},
-                          {3.0, 1.0},
-                          {4.0, 1.0},
-                          {5.0, 1.0}});
-  Vector y(5);
-  for (std::size_t i = 0; i < 5; ++i) y[i] = 3.0 * x(i, 0) - 1.0;
-  const std::vector<std::string> groups = {"a", "a", "b", "b", "c"};
-  const LooResult r = leave_one_group_out(x, y, groups);
-  ASSERT_EQ(r.per_group.size(), 2u);
-  EXPECT_EQ(r.per_group[0].group, "a");
-  EXPECT_EQ(r.per_group[1].group, "b");
-  EXPECT_EQ(r.pooled.count, 5u);  // the lone "c" sample is still scored
-  EXPECT_NEAR(r.pooled.rmse, 0.0, 1e-9);
-}
-
 
 // ---------------------------------------------------------------------------
 // Streaming least squares (regress/incremental_ls.hpp): the exactness

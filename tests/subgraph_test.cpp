@@ -1,6 +1,8 @@
 // Tests for generic block extraction and the named paper blocks (Table 2).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 #include "graph/shape_inference.hpp"
 #include "graph/subgraph.hpp"
@@ -8,6 +10,15 @@
 #include "models/zoo.hpp"
 
 namespace convmeter {
+namespace models {
+
+// Printed in the listed test names of the AllPaperBlocks sweep; the default
+// byte dump would include the label strings' heap addresses. Declared in
+// namespace models so argument-dependent lookup finds it next to NamedBlock.
+void PrintTo(const NamedBlock& block, std::ostream* os) { *os << block.label; }
+
+}  // namespace models
+
 namespace {
 
 TEST(SubgraphTest, ExtractLinearChain) {

@@ -2,7 +2,8 @@
 # message naming the flag and a nonzero exit, before anything reaches
 # stdout (no prediction, no half-written result line, no memory plan).
 # CASE selects the flag: image (predict --image 0), batch (predict
-# --batch -1) or budget (memplan --budget-mb -5).
+# --batch -1), budget (memplan --budget-mb -5) or zero_budget (memplan
+# --budget-mb 0, which must not read as "no budget").
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run)
@@ -30,6 +31,9 @@ if(CASE STREQUAL "image" OR CASE STREQUAL "batch")
   set(flag "--${CASE}")
 elseif(CASE STREQUAL "budget")
   set(cmd memplan --model vgg16 --budget-mb -5)
+  set(flag "--budget-mb")
+elseif(CASE STREQUAL "zero_budget")
+  set(cmd memplan --model vgg16 --budget-mb 0)
   set(flag "--budget-mb")
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")

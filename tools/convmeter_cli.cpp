@@ -116,7 +116,7 @@ class Args {
     return it == values_.end() ? fallback : parse_int(it->second);
   }
 
-  /// get_int for a quantity with a lower limit (sizes >= 1, budgets >= 0):
+  /// get_int for a quantity with a lower limit (sizes and budgets >= 1):
   /// a smaller value throws InvalidArgument naming the flag.
   long long get_int_at_least(const std::string& key, long long fallback,
                              long long min) const {
@@ -608,10 +608,11 @@ int cmd_profile(const Args& args) {
   return 0;
 }
 
-/// --budget-mb in bytes; a negative budget is rejected.
+/// --budget-mb in bytes; a budget below 1 MiB is rejected (0 would
+/// otherwise read as "no budget" and pass any plan).
 std::uint64_t budget_mb_bytes(const Args& args) {
   return static_cast<std::uint64_t>(
-             args.get_int_at_least("budget-mb", 1024, 0))
+             args.get_int_at_least("budget-mb", 1024, 1))
          << 20;
 }
 
